@@ -1968,8 +1968,16 @@ let e17 report =
 (* MICRO *)
 
 let micro report =
+  let kernel = Resets_crypto.Accel.sha256_kernel () in
   Format.printf
-    "Microbenchmarks of the per-packet hot paths (bechamel, OLS ns/run).@.@.";
+    "Microbenchmarks of the per-packet hot paths (bechamel, OLS ns/run; \
+     SHA-256 kernel %s).@.@."
+    kernel;
+  (* Which accelerated paths were live: every number below depends on
+     them. *)
+  Report.param report "sha256_kernel" (Json.String kernel);
+  Report.param report "using_mmsg"
+    (Json.Bool (Resets_net_stubs.Batch_io.using_mmsg ()));
   let open Bechamel in
   let open Resets_ipsec in
   let sa = Sa.derive_params ~spi:0x9l ~secret:"bench" () in

@@ -30,6 +30,8 @@ type t = {
   mutable last_epoch : int;
   mutable last_edge : int;
   mutable seen_replay_accepted : int;
+  down_dropped : (int * int, unit) Hashtbl.t;
+      (* (epoch, seq) of fresh copies the receiver lost to a reset *)
   mutable seen_duplicates : int;
   mutable seen_reused : int;
   mutable violations_rev : violation list;
@@ -47,6 +49,19 @@ let record t invariant detail =
       { invariant; at = Engine.now t.engine; detail } :: t.violations_rev;
     t.count <- t.count + 1
   end
+
+(* A replayed copy accepted for a number the receiver never delivered,
+   whose fresh copy it lost to a reset, is that number's first
+   delivery — the adversary merely re-sent what the dead host missed,
+   just as with a link drop. Count it as seen so it is not reported;
+   every other replayed acceptance still is. *)
+let excuse_missed_replay t ~seq =
+  let m = t.metrics in
+  if
+    m.Metrics.replay_accepted = t.seen_replay_accepted + 1
+    && Metrics.delivery_count m ~seq = 1
+    && Hashtbl.mem t.down_dropped (m.Metrics.epoch, seq)
+  then t.seen_replay_accepted <- m.Metrics.replay_accepted
 
 let check_now t =
   let m = t.metrics in
@@ -98,6 +113,7 @@ let attach ?max_skip_per_reset ?(check_replay = true) ~sender ~receiver
       last_epoch = metrics.Metrics.epoch;
       last_edge = Receiver.right_edge receiver;
       seen_replay_accepted = metrics.Metrics.replay_accepted;
+      down_dropped = Hashtbl.create 64;
       seen_duplicates = metrics.Metrics.duplicate_deliveries;
       seen_reused = metrics.Metrics.reused_seqnos;
       violations_rev = [];
@@ -105,7 +121,12 @@ let attach ?max_skip_per_reset ?(check_replay = true) ~sender ~receiver
       finished = false;
     }
   in
-  Receiver.on_deliver receiver (fun ~seq:_ ~payload:_ -> check_now t);
+  Receiver.on_deliver receiver (fun ~seq ~payload:_ ->
+      excuse_missed_replay t ~seq;
+      check_now t);
+  Receiver.on_down_drop receiver (fun ~seq ~replayed ->
+      if not replayed then
+        Hashtbl.replace t.down_dropped (metrics.Metrics.epoch, seq) ());
   t
 
 let violations t = List.rev t.violations_rev

@@ -14,7 +14,11 @@
       observable. Only meaningful on a loss-free link — a replay of a
       packet the link {e dropped} is a legitimate first delivery — so
       it is gated by [check_replay]; on lossy links true Discrimination
-      violations still surface as ["duplicate-delivery"].
+      violations still surface as ["duplicate-delivery"]. For the same
+      reason a replayed copy of a number the receiver never delivered,
+      whose fresh copy it lost to a reset (dropped while down, or
+      buffered in RAM when it crashed), is not reported: that is the
+      number's first delivery.
     - ["duplicate-delivery"] — Discrimination: some (epoch, sequence
       number) pair was delivered twice.
     - ["seqno-reuse"] — the sender re-issued sequence numbers after a

@@ -33,6 +33,7 @@ type t = {
       (* wakeup's on_ready, fired by whichever path brings us up *)
   mutable degrade : (unit -> unit) option;
   mutable deliver_hooks : (seq:int -> payload:Resets_util.Slice.t -> unit) list;
+  mutable down_drop_hooks : (seq:int -> replayed:bool -> unit) list;
   mutable last_fresh_at : Time.t option;
       (* previous fresh delivery instant, feeding the policy's gap
          estimate (the receiver's view of t_msg) *)
@@ -64,6 +65,7 @@ let create ?(name = "q") ?trace ?(framing = Packet.Seq64)
     pending_ready = None;
     degrade = None;
     deliver_hooks = [];
+    down_drop_hooks = [];
     last_fresh_at = None;
   }
 
@@ -74,6 +76,7 @@ let tell t event detail =
     Trace.record trace ~time:(Engine.now t.engine) ~source:t.name ~event detail
 
 let on_deliver t hook = t.deliver_hooks <- t.deliver_hooks @ [ hook ]
+let on_down_drop t hook = t.down_drop_hooks <- t.down_drop_hooks @ [ hook ]
 
 let set_degrade_handler t f = t.degrade <- Some f
 
@@ -225,25 +228,53 @@ and degrade_now t =
     t.catchup_saving <- false;
     f ()
 
+(* Arrivals the host lost to a reset — dropped while down, or held in
+   a RAM buffer the crash wiped. The hooks get the sequence number an
+   on-path observer would peek (measurement only: the monitor uses it
+   to tell a replay of a number never delivered from a true replay). *)
+let notify_lost t (pkt : Packet.t) =
+  if t.down_drop_hooks <> [] then begin
+    let seq =
+      match t.framing with
+      | Packet.Seq64 -> Esp.seq_of_packet pkt.Packet.wire
+      | Packet.Esn32 ->
+        Esp.seq_of_packet_esn
+          ~edge:(Replay_window.right_edge (window t))
+          ~w:(Replay_window.w (window t))
+          pkt.Packet.wire
+    in
+    Option.iter
+      (fun seq ->
+        List.iter
+          (fun hook -> hook ~seq ~replayed:pkt.Packet.replayed)
+          t.down_drop_hooks)
+      seq
+  end
+
+let drop_while_down t pkt =
+  t.metrics.Metrics.dropped_host_down <- t.metrics.Metrics.dropped_host_down + 1;
+  notify_lost t pkt
+
 let on_packet t pkt =
   match t.status with
   | Up -> process t pkt
   | Down ->
     (* The host is off: arrivals are lost, like any packet sent to a
        dead machine. *)
-    t.metrics.Metrics.dropped_host_down <- t.metrics.Metrics.dropped_host_down + 1
+    drop_while_down t pkt
   | Waking -> (
     match t.persistence with
     | Some { wakeup_buffer = true; _ } ->
       t.metrics.Metrics.buffered_during_wakeup <-
         t.metrics.Metrics.buffered_during_wakeup + 1;
       t.wakeup_buffer_q <- pkt :: t.wakeup_buffer_q
-    | Some { wakeup_buffer = false; _ } | None ->
-      t.metrics.Metrics.dropped_host_down <- t.metrics.Metrics.dropped_host_down + 1)
+    | Some { wakeup_buffer = false; _ } | None -> drop_while_down t pkt)
 
 let reset t =
   if t.status <> Down then begin
     t.status <- Down;
+    List.iter (notify_lost t) t.wakeup_buffer_q;
+    List.iter (notify_lost t) t.catchup_buffer;
     t.wakeup_buffer_q <- [];
     t.catchup_buffer <- [];
     t.catchup_saving <- false;

@@ -70,6 +70,14 @@ val on_deliver : t -> (seq:int -> payload:Resets_util.Slice.t -> unit) -> unit
     the duration of the hook — consumers that keep the bytes must
     [Slice.to_string] their own copy. *)
 
+val on_down_drop : t -> (seq:int -> replayed:bool -> unit) -> unit
+(** Register an observer of arrivals lost to a reset: dropped while
+    the host was down (or waking without a buffer), or held in a
+    wakeup/catch-up buffer that the crash wiped. [seq] is the number the frame's
+    header claims, read unverified as an on-path observer would, and
+    [replayed] its provenance bit. Measurement only — the invariant
+    monitor uses it; the protocol never does. *)
+
 val reset : t -> unit
 val wakeup : t -> ?on_ready:(unit -> unit) -> unit -> unit
 (** @raise Invalid_argument when not down. *)

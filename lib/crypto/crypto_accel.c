@@ -1,24 +1,35 @@
-/* Scalar C fast paths for the two per-packet crypto inner loops.
+/* C fast paths for the per-packet crypto inner loops.
  *
- * The OCaml implementations in sha256.ml / chacha20.ml remain the
- * reference (validated against the RFC/FIPS vectors) and the fallback;
- * these primitives compute the exact same block functions on the same
- * state layout, they just run the arithmetic in C where a 32-bit
- * rotate is one instruction instead of four.  Both are leaf calls:
- * they allocate nothing, never release the runtime lock, and touch
- * only the buffers they are handed, so they are safe as [@@noalloc]
- * externals.
+ * The OCaml implementations in sha256.ml / chacha20.ml / hmac.ml
+ * remain the reference (validated against the RFC/FIPS vectors) and
+ * the fallback; these primitives compute the exact same functions on
+ * the same state layout.  All of them are leaf calls: they allocate
+ * nothing, never release the runtime lock, and touch only the buffers
+ * they are handed, so they are safe as [@@noalloc] externals.
+ *
+ * SHA-256 compression has two kernels, picked once at load time by
+ * CPUID: the x86 SHA extensions (SHA-NI, plus SSSE3/SSE4.1 for the
+ * shuffles) where the CPU has them, and portable scalar C everywhere
+ * else.  Both produce identical chaining values; the scalar kernel is
+ * also exported on its own so the tests can diff the two.
  *
  * State crosses the boundary as OCaml [int array]s holding u32 words
  * (tagged immediates: Long_val/Val_long, no boxing, no caml_modify
  * needed).  Message bytes cross as [Bytes.t].
  */
 
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
 #include <caml/mlvalues.h>
 #include <caml/memory.h>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define RESETS_HAVE_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 CAMLprim value caml_resets_crypto_accel_available(value unit)
 {
@@ -53,6 +64,14 @@ static inline uint32_t be32(const unsigned char *p)
        | ((uint32_t)p[2] << 8) | (uint32_t)p[3];
 }
 
+static inline void put_be32(unsigned char *p, uint32_t v)
+{
+  p[0] = (unsigned char)(v >> 24);
+  p[1] = (unsigned char)(v >> 16);
+  p[2] = (unsigned char)(v >> 8);
+  p[3] = (unsigned char)v;
+}
+
 #define S0(x) (rotr32(x, 2) ^ rotr32(x, 13) ^ rotr32(x, 22))
 #define S1(x) (rotr32(x, 6) ^ rotr32(x, 11) ^ rotr32(x, 25))
 #define s0(x) (rotr32(x, 7) ^ rotr32(x, 18) ^ ((x) >> 3))
@@ -68,23 +87,12 @@ static inline uint32_t be32(const unsigned char *p)
     h = t1 + t2;                                                       \
   } while (0)
 
-/* caml_resets_sha256_blocks h data off nblocks
- *   h: int array of 8 u32 chaining words, updated in place
- *   data: message bytes; [nblocks] 64-byte blocks starting at [off]  */
-CAMLprim value caml_resets_sha256_blocks(value vh, value vdata, value voff,
-                                         value vn)
+/* Scalar kernel: [n] 64-byte blocks at [p] into the chaining state. */
+static void sha256_portable(uint32_t st[8], const unsigned char *p, size_t n)
 {
-  const unsigned char *p = Bytes_val(vdata) + Long_val(voff);
-  long n = Long_val(vn);
-  uint32_t h0 = (uint32_t)Long_val(Field(vh, 0));
-  uint32_t h1 = (uint32_t)Long_val(Field(vh, 1));
-  uint32_t h2 = (uint32_t)Long_val(Field(vh, 2));
-  uint32_t h3 = (uint32_t)Long_val(Field(vh, 3));
-  uint32_t h4 = (uint32_t)Long_val(Field(vh, 4));
-  uint32_t h5 = (uint32_t)Long_val(Field(vh, 5));
-  uint32_t h6 = (uint32_t)Long_val(Field(vh, 6));
-  uint32_t h7 = (uint32_t)Long_val(Field(vh, 7));
-  for (long b = 0; b < n; b++, p += 64) {
+  uint32_t h0 = st[0], h1 = st[1], h2 = st[2], h3 = st[3];
+  uint32_t h4 = st[4], h5 = st[5], h6 = st[6], h7 = st[7];
+  for (; n > 0; n--, p += 64) {
     uint32_t w[64];
     uint32_t a = h0, bb = h1, c = h2, d = h3, e = h4, f = h5, g = h6,
              hh = h7;
@@ -105,15 +113,260 @@ CAMLprim value caml_resets_sha256_blocks(value vh, value vdata, value voff,
     h0 += a; h1 += bb; h2 += c; h3 += d;
     h4 += e; h5 += f; h6 += g; h7 += hh;
   }
-  Field(vh, 0) = Val_long((long)h0);
-  Field(vh, 1) = Val_long((long)h1);
-  Field(vh, 2) = Val_long((long)h2);
-  Field(vh, 3) = Val_long((long)h3);
-  Field(vh, 4) = Val_long((long)h4);
-  Field(vh, 5) = Val_long((long)h5);
-  Field(vh, 6) = Val_long((long)h6);
-  Field(vh, 7) = Val_long((long)h7);
+  st[0] = h0; st[1] = h1; st[2] = h2; st[3] = h3;
+  st[4] = h4; st[5] = h5; st[6] = h6; st[7] = h7;
+}
+
+#ifdef RESETS_HAVE_SHA_NI
+
+/* Four rounds: add the round constants to the message group, then two
+   SHA256RNDS2 (each does two rounds on the low 64 bits of [wk]). The
+   state lives as ABEF/CDGH register pairs, the layout the instruction
+   wants; after two rounds the old ABEF is the new CDGH, hence the
+   swap of roles between the two calls. */
+#define NI_ROUNDS(g, m)                                                \
+  do {                                                                 \
+    __m128i wk = _mm_add_epi32(                                        \
+        (m), _mm_loadu_si128((const __m128i *)&sha_k[4 * (g)]));       \
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);                      \
+    abef = _mm_sha256rnds2_epu32(abef, cdgh,                           \
+                                 _mm_shuffle_epi32(wk, 0x0e));         \
+  } while (0)
+
+/* Message schedule for group g >= 4 from the four previous groups
+   (m0 = W[g-4], ..., m3 = W[g-1]): W[t-16] + s0(W[t-15]) via MSG1,
+   plus W[t-7] (the 4-byte alignr of the last two groups), then the
+   s1 terms via MSG2. */
+#define NI_SCHEDULE(m0, m1, m2, m3)                                    \
+  _mm_sha256msg2_epu32(                                                \
+      _mm_add_epi32(_mm_sha256msg1_epu32((m0), (m1)),                  \
+                    _mm_alignr_epi8((m3), (m2), 4)),                   \
+      (m3))
+
+__attribute__((target("sha,sse4.1")))
+static void sha256_ni(uint32_t st[8], const unsigned char *p, size_t n)
+{
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128((const __m128i *)&st[0]);
+  __m128i hgfe = _mm_loadu_si128((const __m128i *)&st[4]);
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  for (; n > 0; n--, p += 64) {
+    const __m128i abef0 = abef, cdgh0 = cdgh;
+    __m128i m0, m1, m2, m3;
+    m0 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 0)), bswap);
+    m1 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 16)), bswap);
+    m2 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 32)), bswap);
+    m3 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 48)), bswap);
+    NI_ROUNDS(0, m0);
+    NI_ROUNDS(1, m1);
+    NI_ROUNDS(2, m2);
+    NI_ROUNDS(3, m3);
+    for (int g = 4; g < 16; g += 4) {
+      m0 = NI_SCHEDULE(m0, m1, m2, m3);
+      NI_ROUNDS(g, m0);
+      m1 = NI_SCHEDULE(m1, m2, m3, m0);
+      NI_ROUNDS(g + 1, m1);
+      m2 = NI_SCHEDULE(m2, m3, m0, m1);
+      NI_ROUNDS(g + 2, m2);
+      m3 = NI_SCHEDULE(m3, m0, m1, m2);
+      NI_ROUNDS(g + 3, m3);
+    }
+    abef = _mm_add_epi32(abef, abef0);
+    cdgh = _mm_add_epi32(cdgh, cdgh0);
+  }
+  /* Back from ABEF/CDGH to the FIPS word order. */
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128((__m128i *)&st[0], _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128((__m128i *)&st[4], _mm_alignr_epi8(dchg, feba, 8));
+}
+
+static int cpu_has_sha_ni(void)
+{
+  unsigned int a, b, c, d;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return 0;
+  if (!(c & bit_SSSE3) || !(c & bit_SSE4_1)) return 0;
+  if (__get_cpuid_max(0, NULL) < 7) return 0;
+  __cpuid_count(7, 0, a, b, c, d);
+  return (b >> 29) & 1;
+}
+
+#endif
+
+/* The live kernel, chosen once when the library is loaded (before any
+   OCaml code, hence before any domain, can call it). 0 = portable C,
+   1 = SHA-NI; the numbering is Accel.sha256_kernel's. */
+static void (*sha256_compress)(uint32_t[8], const unsigned char *, size_t) =
+    sha256_portable;
+static int sha256_kernel_id = 0;
+
+__attribute__((constructor))
+static void sha256_select_kernel(void)
+{
+#ifdef RESETS_HAVE_SHA_NI
+  if (cpu_has_sha_ni()) {
+    sha256_compress = sha256_ni;
+    sha256_kernel_id = 1;
+  }
+#endif
+}
+
+CAMLprim value caml_resets_sha256_kernel(value unit)
+{
+  (void)unit;
+  return Val_int(sha256_kernel_id);
+}
+
+static inline void load_words(uint32_t *dst, value v, int first, int n)
+{
+  for (int i = 0; i < n; i++) dst[i] = (uint32_t)Long_val(Field(v, first + i));
+}
+
+static inline void store_words(value v, const uint32_t *src)
+{
+  for (int i = 0; i < 8; i++) Field(v, i) = Val_long((long)src[i]);
+}
+
+/* caml_resets_sha256_blocks h data off nblocks
+ *   h: int array of 8 u32 chaining words, updated in place
+ *   data: message bytes; [nblocks] 64-byte blocks starting at [off]
+ * Runs the live kernel; [_portable] forces the scalar one.          */
+CAMLprim value caml_resets_sha256_blocks(value vh, value vdata, value voff,
+                                         value vn)
+{
+  uint32_t st[8];
+  load_words(st, vh, 0, 8);
+  sha256_compress(st, Bytes_val(vdata) + Long_val(voff), Long_val(vn));
+  store_words(vh, st);
   return Val_unit;
+}
+
+CAMLprim value caml_resets_sha256_blocks_portable(value vh, value vdata,
+                                                  value voff, value vn)
+{
+  uint32_t st[8];
+  load_words(st, vh, 0, 8);
+  sha256_portable(st, Bytes_val(vdata) + Long_val(voff), Long_val(vn));
+  store_words(vh, st);
+  return Val_unit;
+}
+
+/* ---------------- HMAC-SHA-256 in one call ---------------- */
+
+/* A SHA-256 computation resumed from a midstate on a block boundary. */
+struct sha_run {
+  uint32_t h[8];
+  unsigned char blk[64];
+  size_t fill;
+  uint64_t total;
+};
+
+static void run_feed(struct sha_run *r, const unsigned char *p, size_t n)
+{
+  r->total += n;
+  if (r->fill > 0) {
+    size_t take = 64 - r->fill;
+    if (take > n) take = n;
+    memcpy(r->blk + r->fill, p, take);
+    r->fill += take;
+    p += take;
+    n -= take;
+    if (r->fill < 64) return;
+    sha256_compress(r->h, r->blk, 1);
+    r->fill = 0;
+  }
+  if (n >= 64) {
+    sha256_compress(r->h, p, n / 64);
+    p += n & ~(size_t)63;
+    n &= 63;
+  }
+  memcpy(r->blk, p, n);
+  r->fill = n;
+}
+
+static void run_final(struct sha_run *r, unsigned char out[32])
+{
+  uint64_t bits = r->total * 8;
+  r->blk[r->fill++] = 0x80;
+  if (r->fill > 56) {
+    memset(r->blk + r->fill, 0, 64 - r->fill);
+    sha256_compress(r->h, r->blk, 1);
+    r->fill = 0;
+  }
+  memset(r->blk + r->fill, 0, 56 - r->fill);
+  put_be32(r->blk + 56, (uint32_t)(bits >> 32));
+  put_be32(r->blk + 60, (uint32_t)bits);
+  sha256_compress(r->h, r->blk, 1);
+  for (int i = 0; i < 8; i++) put_be32(out + 4 * i, r->h[i]);
+}
+
+/* HMAC over prefix ‖ p[0..n) from the key's precomputed pads: [vpads]
+   holds the inner midstate in words 0..7 and the outer in 8..15, each
+   after exactly one 64-byte key block. */
+static void hmac_tag(value vpads, value vprefix, const unsigned char *p,
+                     size_t n, unsigned char tag[32])
+{
+  struct sha_run r;
+  load_words(r.h, vpads, 0, 8);
+  r.fill = 0;
+  r.total = 64;
+  run_feed(&r, Bytes_val(vprefix), caml_string_length(vprefix));
+  run_feed(&r, p, n);
+  run_final(&r, tag);
+  load_words(r.h, vpads, 8, 8);
+  r.fill = 0;
+  r.total = 64;
+  run_feed(&r, tag, 32);
+  run_final(&r, tag);
+}
+
+/* caml_resets_hmac_icv pads prefix buf off len tag_len
+ *   MAC prefix ‖ buf[off, off+len) and write the leading [tag_len]
+ *   bytes of the tag right after the covered range, at off+len.     */
+CAMLprim value caml_resets_hmac_icv(value vpads, value vprefix, value vbuf,
+                                    value voff, value vlen, value vtaglen)
+{
+  unsigned char tag[32];
+  unsigned char *p = Bytes_val(vbuf) + Long_val(voff);
+  size_t n = Long_val(vlen);
+  hmac_tag(vpads, vprefix, p, n, tag);
+  memcpy(p + n, tag, Long_val(vtaglen));
+  return Val_unit;
+}
+
+CAMLprim value caml_resets_hmac_icv_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_resets_hmac_icv(argv[0], argv[1], argv[2], argv[3], argv[4],
+                              argv[5]);
+}
+
+/* caml_resets_hmac_icv_verify pads prefix buf off len tag_len
+ *   Same MAC; compare it in constant time against the [tag_len]
+ *   bytes that follow the covered range.                            */
+CAMLprim value caml_resets_hmac_icv_verify(value vpads, value vprefix,
+                                           value vbuf, value voff, value vlen,
+                                           value vtaglen)
+{
+  unsigned char tag[32];
+  const unsigned char *p = Bytes_val(vbuf) + Long_val(voff);
+  size_t n = Long_val(vlen);
+  long tl = Long_val(vtaglen);
+  unsigned char acc = 0;
+  hmac_tag(vpads, vprefix, p, n, tag);
+  for (long i = 0; i < tl; i++) acc |= (unsigned char)(tag[i] ^ p[n + i]);
+  return Val_bool(acc == 0);
+}
+
+CAMLprim value caml_resets_hmac_icv_verify_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_resets_hmac_icv_verify(argv[0], argv[1], argv[2], argv[3],
+                                     argv[4], argv[5]);
 }
 
 /* ---------------- ChaCha20 (RFC 8439) ---------------- */

@@ -17,6 +17,7 @@ let xor_with s byte =
 type state = {
   inner : Sha256.midstate;
   outer : Sha256.midstate;
+  pads : int array; (* inner then outer chaining words, for the C call *)
   ctx : Sha256.ctx;
   tag : Bytes.t; (* 32-byte digest staging *)
 }
@@ -29,7 +30,10 @@ let state ~key =
   Sha256.reset ctx;
   Sha256.feed ctx (xor_with key 0x5c);
   let outer = Sha256.midstate ctx in
-  { inner; outer; ctx; tag = Bytes.create tag_size }
+  let pads = Array.make 16 0 in
+  Sha256.blit_midstate inner pads 0;
+  Sha256.blit_midstate outer pads 8;
+  { inner; outer; pads; ctx; tag = Bytes.create tag_size }
 
 let start st = Sha256.restore st.ctx st.inner
 
@@ -62,6 +66,38 @@ let finish_verify st ~tag ~tag_off ~tag_len =
   else begin
     finish_tag st;
     Ct.equal_sub tag ~off:tag_off st.tag ~len:tag_len
+  end
+
+(* One-call ICV: with the C paths live, padding, length and the outer
+   pass all happen inside a single noalloc call from the precomputed
+   pads; otherwise the streaming reference above computes the same
+   tag. *)
+let icv_in_range n ~off ~len ~tag_len =
+  tag_len >= 1 && tag_len <= tag_size && off >= 0 && len >= 0
+  && off + len + tag_len <= n
+
+let icv_into st ~prefix buf ~off ~len ~tag_len =
+  if not (icv_in_range (Bytes.length buf) ~off ~len ~tag_len) then
+    invalid_arg "Hmac.icv_into: out of range";
+  if Accel.in_use () then Accel.hmac_icv st.pads prefix buf off len tag_len
+  else begin
+    start st;
+    add_bytes st prefix ~off:0 ~len:(Bytes.length prefix);
+    add_bytes st buf ~off ~len;
+    finish_into st ~bytes:tag_len ~dst:buf ~dst_off:(off + len)
+  end
+
+let icv_verify st ~prefix s ~off ~len ~tag_len =
+  icv_in_range (String.length s) ~off ~len ~tag_len
+  &&
+  if Accel.in_use () then
+    Accel.hmac_icv_verify st.pads prefix (Bytes.unsafe_of_string s) off len
+      tag_len
+  else begin
+    start st;
+    add_bytes st prefix ~off:0 ~len:(Bytes.length prefix);
+    add_sub st s ~off ~len;
+    finish_verify st ~tag:s ~tag_off:(off + len) ~tag_len
   end
 
 let mac ~key msg =

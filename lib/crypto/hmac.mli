@@ -43,5 +43,27 @@ val finish_verify : state -> tag:string -> tag_off:int -> tag_len:int -> bool
     packet — without extracting them. Returns [false] on out-of-range
     lengths. *)
 
+(** {1 One-call ICV}
+
+    The per-packet form: the MAC covers an optional [prefix] (all of
+    it; [Bytes.empty] for none — ESP's ESN mode passes the rebuilt
+    12-byte long header) followed by [len] bytes at [off], and the tag
+    sits right after the covered range, at [off + len]. With the C
+    paths live this is a single allocation-free call computing the
+    whole HMAC from the state's precomputed pads; otherwise it runs
+    the streaming reference above. Both give the same bytes. *)
+
+val icv_into :
+  state -> prefix:Bytes.t -> Bytes.t -> off:int -> len:int -> tag_len:int -> unit
+(** Write the leading [tag_len] tag bytes at [off + len].
+    @raise Invalid_argument if [tag_len] is not in [\[1, 32\]] or the
+    covered range plus tag does not fit in the buffer. *)
+
+val icv_verify :
+  state -> prefix:Bytes.t -> string -> off:int -> len:int -> tag_len:int -> bool
+(** Compare, in constant time, the tag over the covered range with the
+    [tag_len] bytes at [off + len]. [false] on out-of-range
+    arguments. *)
+
 val tag_size : int
 (** 32. *)

@@ -25,7 +25,7 @@ type ctx = {
   h : int array; (* 8 chaining values, each a u32 *)
   block : Bytes.t; (* 64-byte staging buffer *)
   mutable block_len : int;
-  mutable total_len : int64; (* bytes absorbed *)
+  mutable total_len : int; (* bytes absorbed *)
   mutable finalized : bool;
   w : int array; (* message schedule scratch *)
 }
@@ -44,7 +44,7 @@ let init () =
     h = Array.copy iv;
     block = Bytes.create block_size;
     block_len = 0;
-    total_len = 0L;
+    total_len = 0;
     finalized = false;
     w = Array.make 64 0;
   }
@@ -52,20 +52,22 @@ let init () =
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
   ctx.block_len <- 0;
-  ctx.total_len <- 0L;
+  ctx.total_len <- 0;
   ctx.finalized <- false
 
 (* A resumable chaining state, captured on a block boundary. The HMAC
    layer uses it to precompute the ipad/opad prefixes once per key. *)
 type midstate = {
   ms_h : int array;
-  ms_total : int64;
+  ms_total : int;
 }
 
 let midstate ctx =
   if ctx.block_len <> 0 then
     invalid_arg "Sha256.midstate: context not on a block boundary";
   { ms_h = Array.copy ctx.h; ms_total = ctx.total_len }
+
+let blit_midstate ms dst off = Array.blit ms.ms_h 0 dst off 8
 
 let restore ctx ms =
   Array.blit ms.ms_h 0 ctx.h 0 8;
@@ -90,8 +92,9 @@ let[@inline] get_be32 b off =
   lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 8)
   lor Char.code (Bytes.unsafe_get b (off + 3))
 
-let compress ctx block off =
-  let w = ctx.w in
+(* The reference compression: one block of [block] at [off] into the
+   chaining words [h], with [w] as the message-schedule scratch. *)
+let compress h w block off =
   for i = 0 to 15 do
     Array.unsafe_set w i (get_be32 block (off + (4 * i)))
   done;
@@ -103,14 +106,14 @@ let compress ctx block off =
         + Array.unsafe_get w (i - 16))
        land mask)
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
-  let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and h = ref ctx.h.(7) in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
     let t1 =
-      !h + big_sigma1 !e + ch !e !f !g + Array.unsafe_get k i + Array.unsafe_get w i
+      !hh + big_sigma1 !e + ch !e !f !g + Array.unsafe_get k i + Array.unsafe_get w i
     in
     let t2 = big_sigma0 !a + maj !a !b !c in
-    h := !g;
+    hh := !g;
     g := !f;
     f := !e;
     e := (!d + t1) land mask;
@@ -119,14 +122,20 @@ let compress ctx block off =
     b := !a;
     a := (t1 + t2) land mask
   done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !b) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !h) land mask
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
+
+let ocaml_blocks h src off nblocks =
+  let w = Array.make 64 0 in
+  for b = 0 to nblocks - 1 do
+    compress h w src (off + (block_size * b))
+  done
 
 (* All compression goes through here: one dispatch between the C fast
    path (whole run of blocks in a single call) and the portable OCaml
@@ -135,14 +144,14 @@ let[@inline] compress_blocks ctx src off nblocks =
   if Accel.in_use () then Accel.sha256_blocks ctx.h src off nblocks
   else
     for b = 0 to nblocks - 1 do
-      compress ctx src (off + (block_size * b))
+      compress ctx.h ctx.w src (off + (block_size * b))
     done
 
 let feed_bytes ctx src ~off ~len =
   if ctx.finalized then invalid_arg "Sha256.feed: context already finalized";
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Sha256.feed_bytes: out of bounds";
-  ctx.total_len <- Int64.add ctx.total_len (Int64.of_int len);
+  ctx.total_len <- ctx.total_len + len;
   let pos = ref off and remaining = ref len in
   (* Top up a partially filled staging block first. *)
   if ctx.block_len > 0 then begin
@@ -178,29 +187,20 @@ let finalize_into ctx dst ~off =
   if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
   if off < 0 || off + digest_size > Bytes.length dst then
     invalid_arg "Sha256.finalize_into: out of bounds";
-  let bit_len = Int64.mul ctx.total_len 8L in
   let bl = ctx.block_len in
-  Bytes.set ctx.block bl '\x80';
+  Bytes.unsafe_set ctx.block bl '\x80';
   if bl + 1 + 8 > block_size then begin
-    Bytes.fill ctx.block (bl + 1) (block_size - bl - 1) '\x00';
+    Bytes.unsafe_fill ctx.block (bl + 1) (block_size - bl - 1) '\x00';
     compress_blocks ctx ctx.block 0 1;
-    Bytes.fill ctx.block 0 (block_size - 8) '\x00'
+    Bytes.unsafe_fill ctx.block 0 (block_size - 8) '\x00'
   end
-  else Bytes.fill ctx.block (bl + 1) (block_size - 8 - (bl + 1)) '\x00';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set ctx.block (block_size - 8 + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bit_len shift) land 0xff))
-  done;
+  else Bytes.unsafe_fill ctx.block (bl + 1) (block_size - 8 - (bl + 1)) '\x00';
+  Bytes.set_int64_be ctx.block (block_size - 8) (Int64.of_int (ctx.total_len * 8));
   compress_blocks ctx ctx.block 0 1;
   ctx.block_len <- 0;
   ctx.finalized <- true;
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set dst (off + (4 * i)) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set dst (off + (4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set dst (off + (4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set dst (off + (4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be dst (off + (4 * i)) (Int32.of_int ctx.h.(i))
   done
 
 let finalize ctx =

@@ -53,3 +53,15 @@ val digest_size : int
 
 val block_size : int
 (** 64. *)
+
+(**/**)
+
+val blit_midstate : midstate -> int array -> int -> unit
+(** [blit_midstate ms dst off] copies the 8 u32 chaining words of [ms]
+    into [dst] at [off] — the pads the one-call HMAC hands the C
+    kernel. *)
+
+val ocaml_blocks : int array -> Bytes.t -> int -> int -> unit
+(** [ocaml_blocks h data off n]: the OCaml reference compression over
+    [n] 64-byte blocks, same contract as {!Accel.sha256_blocks} — the
+    third opinion in the kernel differential tests. *)

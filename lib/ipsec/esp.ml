@@ -10,10 +10,14 @@ let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 let header_length = 12 (* spi + seq *)
 
+(* Sequence numbers cross the wire through the stdlib's unboxed
+   [{get,set}_int64_be] directly, not through [Wire]: a cross-module
+   call would box the [int64] on every packet. Callers check bounds. *)
+
 (* The per-packet nonce is salt(4) ‖ seq(8 BE); the salt half is
    prefilled at key-derivation time, so arming it is one be64 write. *)
 let arm_nonce (sa : Sa.params) ~seq =
-  Wire.set_be64 sa.crypto.nonce 4 (Int64.of_int seq);
+  Bytes.set_int64_be sa.crypto.nonce 4 (Int64.of_int seq);
   sa.crypto.nonce
 
 let encrypt_in_place (sa : Sa.params) ~seq buf ~off ~len =
@@ -31,14 +35,11 @@ let encap_into ~(sa : Sa.params) ~seq ~payload dst ~off =
   if off < 0 || off + total > Bytes.length dst then
     invalid_arg "Esp.encap_into: out of bounds";
   Wire.set_be32 dst off sa.spi;
-  Wire.set_be64 dst (off + 4) (Int64.of_int seq);
+  Bytes.set_int64_be dst (off + 4) (Int64.of_int seq);
   Bytes.blit_string payload 0 dst (off + header_length) plen;
   encrypt_in_place sa ~seq dst ~off:(off + header_length) ~len:plen;
-  let st = sa.crypto.hmac in
-  Resets_crypto.Hmac.start st;
-  Resets_crypto.Hmac.add_bytes st dst ~off ~len:(header_length + plen);
-  Resets_crypto.Hmac.finish_into st ~bytes:icv_len ~dst
-    ~dst_off:(off + header_length + plen);
+  Resets_crypto.Hmac.icv_into sa.crypto.hmac ~prefix:Bytes.empty dst ~off
+    ~len:(header_length + plen) ~tag_len:icv_len;
   total
 
 let encap ~(sa : Sa.params) ~seq ~payload =
@@ -70,16 +71,13 @@ let decap_range ~(sa : Sa.params) packet ~off ~len =
   if len < header_length + icv_len then Error Malformed
   else begin
     let covered_len = len - icv_len in
-    let st = sa.crypto.hmac in
-    Resets_crypto.Hmac.start st;
-    Resets_crypto.Hmac.add_sub st packet ~off ~len:covered_len;
     if
       not
-        (Resets_crypto.Hmac.finish_verify st ~tag:packet
-           ~tag_off:(off + covered_len) ~tag_len:icv_len)
+        (Resets_crypto.Hmac.icv_verify sa.crypto.hmac ~prefix:Bytes.empty
+           packet ~off ~len:covered_len ~tag_len:icv_len)
     then Error Bad_icv
     else begin
-      let seq = Int64.to_int (Wire.get_be64 packet (off + 4)) in
+      let seq = Int64.to_int (String.get_int64_be packet (off + 4)) in
       Ok
         ( seq,
           plaintext_slice sa ~seq packet ~off:(off + header_length)
@@ -98,14 +96,14 @@ let decap ~sa packet =
 
 let seq_of_packet packet =
   if String.length packet < header_length then None
-  else Some (Int64.to_int (Wire.get_be64 packet 4))
+  else Some (Int64.to_int (String.get_int64_be packet 4))
 
 let spi_of_packet packet =
   if String.length packet < 4 then None else Some (Wire.get_be32 packet 0)
 
 let seq_of_slice (s : Slice.t) =
   if s.len < header_length then None
-  else Some (Int64.to_int (Wire.get_be64_bytes s.base (s.off + 4)))
+  else Some (Int64.to_int (Bytes.get_int64_be s.base (s.off + 4)))
 
 let spi_of_slice (s : Slice.t) =
   if s.len < 4 then None else Some (Wire.get_be32_bytes s.base s.off)
@@ -118,16 +116,13 @@ let esn_header_length = 8 (* spi + seq_low *)
 
 (* The ICV covers the reconstructed long header (full 64-bit sequence
    number), not the wire bytes — RFC 4304's implicit high-order bits.
-   The streaming HMAC lets us mac that non-contiguous cover (12-byte
-   rebuilt header, then the wire's ciphertext) with no concatenation. *)
-let start_esn_mac (sa : Sa.params) ~seq =
+   The one-call ICV takes that rebuilt 12-byte header as its prefix and
+   the wire's ciphertext as the covered range: no concatenation. *)
+let esn_prefix (sa : Sa.params) ~seq =
   let hdr = sa.crypto.hdr in
   Wire.set_be32 hdr 0 sa.spi;
-  Wire.set_be64 hdr 4 (Int64.of_int seq);
-  let st = sa.crypto.hmac in
-  Resets_crypto.Hmac.start st;
-  Resets_crypto.Hmac.add_bytes st hdr ~off:0 ~len:12;
-  st
+  Bytes.set_int64_be hdr 4 (Int64.of_int seq);
+  hdr
 
 let encap_esn ~(sa : Sa.params) ~seq ~payload =
   if seq < 0 then invalid_arg "Esp.encap_esn: negative sequence number";
@@ -135,13 +130,11 @@ let encap_esn ~(sa : Sa.params) ~seq ~payload =
   let plen = String.length payload in
   let out = Bytes.create (esn_header_length + plen + icv_len) in
   Wire.set_be32 out 0 sa.spi;
-  Wire.set_be32 out 4 (Int32.of_int (seq land 0xffffffff));
+  Bytes.set_int32_be out 4 (Int32.of_int (seq land 0xffffffff));
   Bytes.blit_string payload 0 out esn_header_length plen;
   encrypt_in_place sa ~seq out ~off:esn_header_length ~len:plen;
-  let st = start_esn_mac sa ~seq in
-  Resets_crypto.Hmac.add_bytes st out ~off:esn_header_length ~len:plen;
-  Resets_crypto.Hmac.finish_into st ~bytes:icv_len ~dst:out
-    ~dst_off:(esn_header_length + plen);
+  Resets_crypto.Hmac.icv_into sa.crypto.hmac ~prefix:(esn_prefix sa ~seq) out
+    ~off:esn_header_length ~len:plen ~tag_len:icv_len;
   Bytes.unsafe_to_string out
 
 let decap_esn_slice ~(sa : Sa.params) ~edge ~w packet =
@@ -149,17 +142,16 @@ let decap_esn_slice ~(sa : Sa.params) ~edge ~w packet =
   let n = String.length packet in
   if n < esn_header_length + icv_len then Error Malformed
   else begin
-    let seq_low = Int32.to_int (Wire.get_be32 packet 4) land 0xffffffff in
+    let seq_low = Int32.to_int (String.get_int32_be packet 4) land 0xffffffff in
     let seq = Esn.infer ~edge ~w ~seq_low in
     if seq < 0 then Error Bad_icv (* pre-history epoch: cannot verify *)
     else begin
       let clen = n - icv_len - esn_header_length in
-      let st = start_esn_mac sa ~seq in
-      Resets_crypto.Hmac.add_sub st packet ~off:esn_header_length ~len:clen;
       if
         not
-          (Resets_crypto.Hmac.finish_verify st ~tag:packet
-             ~tag_off:(n - icv_len) ~tag_len:icv_len)
+          (Resets_crypto.Hmac.icv_verify sa.crypto.hmac
+             ~prefix:(esn_prefix sa ~seq) packet ~off:esn_header_length
+             ~len:clen ~tag_len:icv_len)
       then Error Bad_icv
       else
         Ok (seq, plaintext_slice sa ~seq packet ~off:esn_header_length ~len:clen)
@@ -173,7 +165,7 @@ let decap_esn ~sa ~edge ~w packet =
 
 let seq_low_of_packet_esn packet =
   if String.length packet < esn_header_length then None
-  else Some (Int32.to_int (Wire.get_be32 packet 4) land 0xffffffff)
+  else Some (Int32.to_int (String.get_int32_be packet 4) land 0xffffffff)
 
 let seq_of_packet_esn ~edge ~w packet =
   match seq_low_of_packet_esn packet with

@@ -1,64 +1,28 @@
-let put_be32 buf v =
-  for i = 3 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v (8 * i)) land 0xff))
-  done
-
-let put_be64 buf v =
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done
+let put_be32 buf v = Buffer.add_int32_be buf v
+let put_be64 buf v = Buffer.add_int64_be buf v
 
 let set_be32 b off v =
   if off < 0 || off + 4 > Bytes.length b then invalid_arg "Wire.set_be32: short buffer";
-  for i = 0 to 3 do
-    Bytes.set b (off + i)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v (8 * (3 - i))) land 0xff))
-  done
+  Bytes.set_int32_be b off v
 
 let set_be64 b off v =
   if off < 0 || off + 8 > Bytes.length b then invalid_arg "Wire.set_be64: short buffer";
-  for i = 0 to 7 do
-    Bytes.set b (off + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
-  done
+  Bytes.set_int64_be b off v
 
 let get_be32_bytes b off =
   if off < 0 || off + 4 > Bytes.length b then
     invalid_arg "Wire.get_be32_bytes: short input";
-  let byte i = Int32.of_int (Char.code (Bytes.get b (off + i))) in
-  Int32.logor
-    (Int32.shift_left (byte 0) 24)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 16)
-       (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
+  Bytes.get_int32_be b off
 
 let get_be64_bytes b off =
   if off < 0 || off + 8 > Bytes.length b then
     invalid_arg "Wire.get_be64_bytes: short input";
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc :=
-      Int64.logor (Int64.shift_left !acc 8)
-        (Int64.of_int (Char.code (Bytes.get b (off + i))))
-  done;
-  !acc
+  Bytes.get_int64_be b off
 
 let get_be32 s off =
   if off < 0 || off + 4 > String.length s then invalid_arg "Wire.get_be32: short input";
-  let byte i = Int32.of_int (Char.code s.[off + i]) in
-  Int32.logor
-    (Int32.shift_left (byte 0) 24)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 16)
-       (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
+  String.get_int32_be s off
 
 let get_be64 s off =
   if off < 0 || off + 8 > String.length s then invalid_arg "Wire.get_be64: short input";
-  let byte i = Int64.of_int (Char.code s.[off + i]) in
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (byte i)
-  done;
-  !acc
+  String.get_int64_be s off

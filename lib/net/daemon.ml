@@ -255,8 +255,9 @@ let append_heartbeat ?event path ~role ~elapsed_ns ~shards ~wire stats =
             ])))
 
 (* The startup heartbeat carries what a post-mortem needs to interpret
-   the run's wire numbers: the configured batch and the socket-buffer
-   sizes the kernel actually granted (it clamps and rounds requests). *)
+   the run's wire numbers: the configured batch, the socket-buffer
+   sizes the kernel actually granted (it clamps and rounds requests),
+   and the SHA-256 kernel every ICV ran on. *)
 let append_startup path ~role ~batch ~rcvbuf_effective ~sndbuf_effective =
   append_line path
     (Json.to_string
@@ -270,6 +271,7 @@ let append_startup path ~role ~batch ~rcvbuf_effective ~sndbuf_effective =
             ("batch", Json.Int batch);
             ("rcvbuf_effective", Json.Int rcvbuf_effective);
             ("sndbuf_effective", Json.Int sndbuf_effective);
+            ("sha256_kernel", Json.String (Resets_crypto.Accel.sha256_kernel ()));
           ]))
 
 (* ------------------------------------------------------------------ *)
@@ -786,6 +788,7 @@ let report cfg ~elapsed_s ~wire_rx ~wire_tx ~wire_tx_errors ~wire_stats ~gate
   Json.Obj
     [
       ("role", Json.String (match cfg.role with Send -> "send" | Recv -> "recv"));
+      ("sha256_kernel", Json.String (Resets_crypto.Accel.sha256_kernel ()));
       ("sas", Json.Int cfg.sas);
       ("k", Json.Int cfg.k);
       ("k_policy", Json.String (K_policy.describe (policy_mode cfg)));

@@ -280,6 +280,10 @@ fi
 echo "== allocation-regression gate (MICRO) =="
 dune exec bench/main.exe -- MICRO --json="$out" >/dev/null
 test -s "$out/BENCH_MICRO.json" || { echo "missing BENCH_MICRO.json" >&2; exit 1; }
+# Informational, not gated: which SHA-256 kernel the timings ran on
+# (sha-ni, portable-c, or ocaml under RESETS_NO_ACCEL).
+kernel=$(sed -n 's/.*"sha256_kernel": "\([a-z-]*\)".*/\1/p' "$out/BENCH_MICRO.json" | head -n 1)
+echo "sha256 kernel: ${kernel:-unreported}"
 
 # Budgets: minor-heap words allocated per packet on the codec hot
 # paths, ~1.8x the steady-state numbers committed with the zero-copy
@@ -303,11 +307,14 @@ alloc_gate esp-encap-256B 90
 alloc_gate esp-decap-256B 110
 # The batched wire path's per-frame codec work (syscalls excluded):
 # encap straight into a tx-pool slot, decap straight out of an rx-arena
-# slot. Steady state is 12 / 21 minor words per frame; the budgets are
-# ~2x that. A regression means a string or boxed intermediate crept
-# back into the zero-copy datapath.
-alloc_gate esp-encap-into-256B 25
-alloc_gate esp-decap-slice-256B 45
+# slot. Steady state is 0 / 9 minor words per frame (the 9 are decap's
+# result: Ok, the (seq, payload) pair and the payload slice); the
+# budgets are ~2x that, and 1 for the allocation-free encap. A
+# regression means a string or boxed intermediate (an int64 header
+# write, a per-packet HMAC context) crept back into the zero-copy
+# datapath.
+alloc_gate esp-encap-into-256B 1
+alloc_gate esp-decap-slice-256B 18
 # The engine tick loop: one timer-wheel event (fire + self-reschedule)
 # allocates ~16 words steady state; anything past 20 means a boxed
 # deadline, a closure, or a list node crept into the per-event path.

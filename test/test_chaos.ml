@@ -157,6 +157,25 @@ let test_shrink_minimizes () =
   check_int "replay identical" (List.length o.Explorer.violations)
     (List.length replay.Harness.violations)
 
+(* Seeds whose shrunk schedules once tripped "replay-accepted" on the
+   stock protocol: the adversary re-sent numbers the receiver had lost
+   to its own reset (dropped while down, or buffered in RAM when it
+   crashed) and the receiver accepted them as their first delivery.
+   7123 is the wedge case (q woke at FETCH 4350 + leap 50 and later
+   accepted an injected #4474 it had dropped while down); the others
+   are replay-all and wedge variants of the same pattern. *)
+let test_reset_lost_replays_are_first_deliveries () =
+  List.iter
+    (fun seed ->
+      let c = { (cfg ~seeds:1 ()) with Explorer.seed_base = seed } in
+      let r = Explorer.run_schedule c (Explorer.generate c 0) in
+      let m = r.Harness.metrics in
+      check_int (Printf.sprintf "seed %d: no violations" seed) 0
+        (List.length r.Harness.violations);
+      check_int (Printf.sprintf "seed %d: no duplicate deliveries" seed) 0
+        m.Metrics.duplicate_deliveries)
+    [ 7123; 2184; 2774; 3370; 4114; 4226; 4951; 5209 ]
+
 let test_explore_small_stock_batch () =
   let c = cfg ~seeds:5 () in
   let r = Explorer.explore c in
@@ -185,6 +204,8 @@ let () =
             test_run_schedule_deterministic;
           Alcotest.test_case "weak caught, stock clean" `Quick
             test_weak_leap_caught_and_stock_clean;
+          Alcotest.test_case "reset-lost replays not flagged" `Quick
+            test_reset_lost_replays_are_first_deliveries;
           Alcotest.test_case "shrink minimizes" `Slow test_shrink_minimizes;
           Alcotest.test_case "small stock batch" `Slow
             test_explore_small_stock_batch;

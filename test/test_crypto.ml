@@ -467,6 +467,153 @@ let accel_chacha_differential =
       = with_accel false (fun () ->
             Chacha20.crypt ~key:rfc8439_key ~nonce ~counter s))
 
+(* ------------------------------------------------------------------ *)
+(* SHA-256 kernels and the one-call ICV.
+
+   The live C kernel (SHA-NI where the CPU has it), the scalar C kernel
+   and the OCaml reference compression must agree on every chaining
+   state and block run; the one-call HMAC must agree with the
+   streaming one at every length, with and without a prefix, under
+   both dispatch paths. *)
+
+let blocks_gen =
+  QCheck.Gen.(
+    pair
+      (array_size (return 8) (int_bound 0xffffffff))
+      (int_range 1 8 >>= fun n -> string_size (return (64 * n))))
+
+let kernel_differential =
+  QCheck.Test.make ~name:"sha256 kernels: live C = portable C = OCaml"
+    ~count:300
+    (QCheck.make blocks_gen)
+    (fun (h0, data) ->
+      QCheck.assume (Accel.available ());
+      let b = Bytes.of_string data and n = String.length data / 64 in
+      let run f =
+        let h = Array.copy h0 in
+        f h b 0 n;
+        h
+      in
+      let live = run Accel.sha256_blocks in
+      live = run Accel.sha256_blocks_portable && live = run Sha256.ocaml_blocks)
+
+let test_kernel_reported () =
+  with_accel false (fun () ->
+      check_str "accel off" "ocaml" (Accel.sha256_kernel ()));
+  if Accel.available () then
+    with_accel true (fun () ->
+        let k = Accel.sha256_kernel () in
+        check_bool ("C kernel named: " ^ k) true
+          (k = "sha-ni" || k = "portable-c"))
+
+let esn_prefix = Bytes.of_string "\x00\x00\x50\x00\x00\x00\x00\x01\x00\x00\x30\x39"
+
+(* Tag via the one-call path: [msg] in a buffer at offset 3, followed
+   by room for the tag. *)
+let icv_tag st ~prefix msg ~tag_len =
+  let len = String.length msg in
+  let buf = Bytes.make (3 + len + tag_len + 2) '\xee' in
+  Bytes.blit_string msg 0 buf 3 len;
+  Hmac.icv_into st ~prefix buf ~off:3 ~len ~tag_len;
+  (buf, Bytes.sub_string buf (3 + len) tag_len)
+
+let test_icv_matches_streaming () =
+  let key = "one-call icv key" in
+  let st = Hmac.state ~key in
+  List.iter
+    (fun on ->
+      if (not on) || Accel.available () then
+        with_accel on (fun () ->
+            for len = 0 to 300 do
+              List.iter
+                (fun prefix ->
+                  let msg = String.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
+                  let tag_len = if len land 1 = 0 then 16 else 32 in
+                  let expect =
+                    String.sub
+                      (Hmac.mac ~key (Bytes.to_string prefix ^ msg))
+                      0 tag_len
+                  in
+                  let buf, got = icv_tag st ~prefix msg ~tag_len in
+                  let what =
+                    Printf.sprintf "accel=%b len=%d prefix=%d" on len
+                      (Bytes.length prefix)
+                  in
+                  check_str (what ^ " tag") (Hex.encode expect) (Hex.encode got);
+                  check_bool (what ^ " bytes after tag untouched") true
+                    (Bytes.get buf (3 + len + tag_len) = '\xee');
+                  let wire = Bytes.to_string buf in
+                  check_bool (what ^ " verifies") true
+                    (Hmac.icv_verify st ~prefix wire ~off:3 ~len ~tag_len);
+                  let flip i =
+                    let b = Bytes.of_string wire in
+                    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+                    Bytes.to_string b
+                  in
+                  check_bool (what ^ " tag flip rejected") false
+                    (Hmac.icv_verify st ~prefix (flip (3 + len)) ~off:3 ~len
+                       ~tag_len);
+                  if len > 0 then
+                    check_bool (what ^ " cover flip rejected") false
+                      (Hmac.icv_verify st ~prefix (flip 3) ~off:3 ~len ~tag_len))
+                [ Bytes.empty; esn_prefix ]
+            done))
+    [ false; true ]
+
+let test_icv_bounds () =
+  let st = Hmac.state ~key:"k" in
+  let buf = Bytes.create 40 in
+  Alcotest.check_raises "tag past end"
+    (Invalid_argument "Hmac.icv_into: out of range") (fun () ->
+      Hmac.icv_into st ~prefix:Bytes.empty buf ~off:10 ~len:20 ~tag_len:16);
+  Alcotest.check_raises "tag length 0"
+    (Invalid_argument "Hmac.icv_into: out of range") (fun () ->
+      Hmac.icv_into st ~prefix:Bytes.empty buf ~off:0 ~len:8 ~tag_len:0);
+  check_bool "verify out of range is false" false
+    (Hmac.icv_verify st ~prefix:Bytes.empty (Bytes.to_string buf) ~off:(-1)
+       ~len:8 ~tag_len:16)
+
+(* RFC 4231 cases 1-4, 6, 7 through the one-call path: whole message
+   as the covered range, and split into a prefix plus the rest. *)
+let rfc4231_vectors =
+  [
+    ( String.make 20 '\x0b', "Hi There",
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+    ( "Jefe", "what do ya want for nothing?",
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+    ( String.make 20 '\xaa', String.make 50 '\xdd',
+      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+    ( String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+    ( String.make 131 '\xaa',
+      "Test Using Larger Than Block-Size Key - Hash Key First",
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+    ( String.make 131 '\xaa',
+      "This is a test using a larger than block-size key and a larger than \
+       block-size data. The key needs to be hashed before being used by the \
+       HMAC algorithm.",
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+  ]
+
+let test_icv_rfc4231 () =
+  List.iter
+    (fun on ->
+      if (not on) || Accel.available () then
+        with_accel on (fun () ->
+            List.iteri
+              (fun i (key, msg, expect) ->
+                let st = Hmac.state ~key in
+                let what = Printf.sprintf "accel=%b vector %d" on i in
+                check_str (what ^ " whole") expect
+                  (Hex.encode (snd (icv_tag st ~prefix:Bytes.empty msg ~tag_len:32)));
+                let cut = min 12 (String.length msg) in
+                let prefix = Bytes.of_string (String.sub msg 0 cut) in
+                let rest = String.sub msg cut (String.length msg - cut) in
+                check_str (what ^ " split") expect
+                  (Hex.encode (snd (icv_tag st ~prefix rest ~tag_len:32))))
+              rfc4231_vectors))
+    [ false; true ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "crypto"
@@ -497,6 +644,15 @@ let () =
           Alcotest.test_case "finish_into/verify" `Quick test_hmac_finish_into_and_verify;
           Alcotest.test_case "state long key" `Quick test_hmac_state_long_key;
           qt hmac_state_matches_mac_property;
+        ] );
+      ( "icv",
+        [
+          Alcotest.test_case "kernel reported" `Quick test_kernel_reported;
+          qt kernel_differential;
+          Alcotest.test_case "= streaming, lengths 0-300" `Quick
+            test_icv_matches_streaming;
+          Alcotest.test_case "RFC4231 vectors" `Quick test_icv_rfc4231;
+          Alcotest.test_case "bounds" `Quick test_icv_bounds;
         ] );
       ( "chacha20",
         [

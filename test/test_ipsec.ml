@@ -404,6 +404,46 @@ let test_dpd_double_start_rejected () =
   Alcotest.check_raises "double start" (Invalid_argument "Dpd.start: already started")
     (fun () -> Dpd.start dpd)
 
+(* ------------------------------------------------------------------ *)
+(* Wire: big-endian helpers round-trip; short buffers keep their
+   messages *)
+
+let wire_roundtrip =
+  QCheck.Test.make ~name:"wire be32/be64 round-trip at any offset" ~count:500
+    QCheck.(triple (int_bound 16) int int)
+    (fun (off, a, b) ->
+      let v32 = Int32.of_int a and v64 = Int64.of_int b in
+      let buf = Bytes.make 32 '\xaa' in
+      Wire.set_be32 buf off v32;
+      Wire.set_be64 buf (off + 4) v64;
+      let s = Bytes.to_string buf in
+      let streamed = Buffer.create 12 in
+      Wire.put_be32 streamed v32;
+      Wire.put_be64 streamed v64;
+      Wire.get_be32 s off = v32
+      && Wire.get_be64 s (off + 4) = v64
+      && Wire.get_be32_bytes buf off = v32
+      && Wire.get_be64_bytes buf (off + 4) = v64
+      && Buffer.contents streamed = String.sub s off 12
+      && Bytes.get buf (off + 12) = '\xaa')
+
+let test_wire_layout_and_errors () =
+  let buf = Bytes.make 12 '\x00' in
+  Wire.set_be32 buf 0 0x01020304l;
+  Wire.set_be64 buf 4 0x05060708090a0b0cL;
+  check_str "big-endian bytes" "0102030405060708090a0b0c"
+    (Resets_util.Hex.encode (Bytes.to_string buf));
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  raises "Wire.set_be32: short buffer" (fun () -> Wire.set_be32 buf 9 0l);
+  raises "Wire.set_be64: short buffer" (fun () -> Wire.set_be64 buf (-1) 0L);
+  raises "Wire.get_be32: short input" (fun () -> ignore (Wire.get_be32 "abc" 0));
+  raises "Wire.get_be64: short input" (fun () ->
+      ignore (Wire.get_be64 "0123456789" 3));
+  raises "Wire.get_be32_bytes: short input" (fun () ->
+      ignore (Wire.get_be32_bytes buf (-2)));
+  raises "Wire.get_be64_bytes: short input" (fun () ->
+      ignore (Wire.get_be64_bytes buf 5))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ipsec"
@@ -433,6 +473,11 @@ let () =
           qt esp_roundtrip_property;
           qt esp_decap_never_crashes;
           qt esp_bitflip_never_accepted;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "layout and errors" `Quick test_wire_layout_and_errors;
+          qt wire_roundtrip;
         ] );
       ( "ah",
         [
